@@ -271,36 +271,50 @@ func BenchmarkAblationDeviceVariation(b *testing.B) {
 	b.ReportMetric(acc, "MC-normacc@sigma=0.1")
 }
 
-// BenchmarkAnalogTrainingEpoch measures one full analog training epoch of
-// the Mnist-A MLP through the integrated accelerator, serially and across
-// worker-pool sizes — the paired benchmark behind the parallel-backend
-// acceptance criterion (results are bit-identical at every size; see
-// internal/core's determinism test).
+// BenchmarkAnalogTrainingEpoch measures one full analog training epoch
+// through the integrated accelerator, serially and across worker-pool sizes:
+// the Mnist-A MLP on 100 images, and the Mnist-0 CNN (prefix "mnist0-") on
+// 16, whose conv stages read every window plane out in one batched readout.
+// It is the paired benchmark behind the parallel-backend acceptance
+// criterion (results are bit-identical at every size; see internal/core's
+// determinism and golden tests).
 func BenchmarkAnalogTrainingEpoch(b *testing.B) {
-	train, _ := pipelayer.SyntheticDigits(100, 1, true, 3)
-	for _, w := range []int{1, 2, 4} {
-		name := "serial"
-		if w > 1 {
-			name = fmt.Sprintf("workers-%d", w)
-		}
-		b.Run(name, func(b *testing.B) {
-			old := pipelayer.Workers()
-			pipelayer.SetWorkers(w)
-			defer pipelayer.SetWorkers(old)
-			a := pipelayer.NewAccelerator(pipelayer.DefaultDeviceModel())
-			if err := a.TopologySet(networks.MnistA(), 1); err != nil {
-				b.Fatal(err)
+	mlpTrain, _ := pipelayer.SyntheticDigits(100, 1, true, 3)
+	cnnTrain, _ := pipelayer.SyntheticDigits(16, 1, false, 3)
+	nets := []struct {
+		prefix string
+		spec   networks.Spec
+		train  []pipelayer.Sample
+		batch  int
+	}{
+		{"", networks.MnistA(), mlpTrain, 10},
+		{"mnist0-", networks.Mnist0(), cnnTrain, 8},
+	}
+	for _, net := range nets {
+		for _, w := range []int{1, 2, 4} {
+			name := "serial"
+			if w > 1 {
+				name = fmt.Sprintf("workers-%d", w)
 			}
-			if err := a.WeightLoad(nil, rand.New(rand.NewSource(1))); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Train(train, 10, 0.05); err != nil {
+			b.Run(net.prefix+name, func(b *testing.B) {
+				old := pipelayer.Workers()
+				pipelayer.SetWorkers(w)
+				defer pipelayer.SetWorkers(old)
+				a := pipelayer.NewAccelerator(pipelayer.DefaultDeviceModel())
+				if err := a.TopologySet(net.spec, 1); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				if err := a.WeightLoad(nil, rand.New(rand.NewSource(1))); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := a.Train(net.train, net.batch, 0.05); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

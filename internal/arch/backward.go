@@ -36,21 +36,25 @@ func MaxPoolBackward(delta, dPrev *tensor.Tensor, k int) *tensor.Tensor {
 		panic("arch: MaxPoolBackward shapes inconsistent")
 	}
 	out := tensor.New(c, ih, iw)
+	dd, pd, od := delta.Data(), dPrev.Data(), out.Data()
 	// Channels scatter into disjoint planes of out, so they chunk safely.
 	parallel.Default().For(c, parallel.Grain(oh*ow*k*k), func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
+			plane := pd[ci*ih*iw : (ci+1)*ih*iw]
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					bestY, bestX := oy*k, ox*k
-					best := dPrev.At(ci, bestY, bestX)
+					corner := oy*k*iw + ox*k
+					bestAt := corner
+					best := plane[corner]
 					for ky := 0; ky < k; ky++ {
-						for kx := 0; kx < k; kx++ {
-							if v := dPrev.At(ci, oy*k+ky, ox*k+kx); v > best {
-								best, bestY, bestX = v, oy*k+ky, ox*k+kx
+						row := corner + ky*iw
+						for kx, v := range plane[row : row+k] {
+							if v > best {
+								best, bestAt = v, row+kx
 							}
 						}
 					}
-					out.Set(delta.At(ci, oy, ox), ci, bestY, bestX)
+					od[ci*ih*iw+bestAt] = dd[(ci*oh+oy)*ow+ox]
 				}
 			}
 		}
@@ -105,22 +109,28 @@ func ConvDerivative(dPrev, delta *tensor.Tensor, k, pad int) *tensor.Tensor {
 	outC := delta.Dim(0)
 	oh, ow := delta.Dim(1), delta.Dim(2)
 	x := tensor.Pad2D(dPrev, pad)
+	xh, xw := x.Dim(1), x.Dim(2)
+	xd, dd := x.Data(), delta.Data()
 	dW := tensor.New(outC, inC, k, k)
+	wd := dW.Data()
 	// Each output-channel plane of ∂W is independent (its own error channel
 	// correlated against every input channel), so outC is the parallel unit;
 	// every (o,c,ky,kx) reduction keeps its serial y/x accumulation order.
 	parallel.Default().For(outC, parallel.Grain(inC*k*k*oh*ow), func(lo, hi int) {
 		for o := lo; o < hi; o++ {
+			errPlane := dd[o*oh*ow : (o+1)*oh*ow]
 			for c := 0; c < inC; c++ {
+				inPlane := xd[c*xh*xw : (c+1)*xh*xw]
 				for ky := 0; ky < k; ky++ {
 					for kx := 0; kx < k; kx++ {
 						s := 0.0
 						for y := 0; y < oh; y++ {
-							for xx := 0; xx < ow; xx++ {
-								s += x.At(c, y+ky, xx+kx) * delta.At(o, y, xx)
+							in := inPlane[(y+ky)*xw+kx : (y+ky)*xw+kx+ow]
+							for xx, d := range errPlane[y*ow : (y+1)*ow] {
+								s += in[xx] * d
 							}
 						}
-						dW.Set(s, o, c, ky, kx)
+						wd[((o*inC+c)*k+ky)*k+kx] = s
 					}
 				}
 			}

@@ -41,11 +41,18 @@ func (q *Quantized) MatVecCols(x *tensor.Tensor) *tensor.Tensor {
 	}
 	maxIn := float64(uint64(1)<<uint(q.Bits) - 1)
 	// Quantize every input column against its own scale, keeping the
-	// column-interleaved layout (xq[i*n+c] is row i of column c) so the
+	// column-interleaved layout (xq[i*stride+c] is row i of column c) so the
 	// readout's inner loop streams contiguously across columns. Both passes
 	// walk the input row-major — strided per-column scans would take a cache
-	// miss on nearly every element.
-	xq := make([]float64, q.Rows*n)
+	// miss on nearly every element. The vector readout pads each row to a
+	// whole number of 4-lane vectors; the padding stays zero.
+	f := q.faults
+	vector := f == nil && vectorReadout
+	stride := n
+	if vector && n > 1 {
+		stride = (n + 3) &^ 3
+	}
+	xq := make([]float64, q.Rows*stride)
 	ks := make([]float64, n)
 	scales := make([]float64, n)
 	xd := x.Data()
@@ -64,7 +71,7 @@ func (q *Quantized) MatVecCols(x *tensor.Tensor) *tensor.Tensor {
 	}
 	for i := 0; i < q.Rows; i++ {
 		row := xd[i*n : (i+1)*n : (i+1)*n]
-		dst := xq[i*n : (i+1)*n : (i+1)*n]
+		dst := xq[i*stride : i*stride+n : i*stride+n]
 		for c, v := range row {
 			if v == 0 {
 				continue // Round(0) is 0: the code stays zero without computing it
@@ -80,8 +87,11 @@ func (q *Quantized) MatVecCols(x *tensor.Tensor) *tensor.Tensor {
 			dst[c] = code
 		}
 	}
-	f := q.faults
 	parallel.Default().For(q.Cols, parallel.Grain(q.Rows*n), func(lo, hi int) {
+		if vector {
+			readoutVector(q.colCodes, xq, ks, out.Data(), q.Rows, n, stride, lo, hi)
+			return
+		}
 		if f == nil {
 			readoutExact(q.colCodes, xq, ks, out.Data(), q.Rows, n, lo, hi)
 			return
@@ -149,10 +159,13 @@ func (q *Quantized) MatVecCols(x *tensor.Tensor) *tensor.Tensor {
 // partial sum ever rounds, so the result is independent of both summation
 // order and whether the multiply-add is fused. That licenses two things the
 // rounding-sensitive fault path cannot do while staying bit-identical to
-// MatVec's sequential mul-then-add loop: math.FMA (one fused instruction per
-// term) and row tiling, which keeps a 16 KB slab of the quantized inputs
-// resident in L1 while every output column sweeps over it, instead of
-// streaming the whole input block from L2 once per output column.
+// MatVec's sequential mul-then-add loop: independent partial sums, and row
+// tiling, which keeps a 16 KB slab of the quantized inputs resident in L1
+// while every output column sweeps over it, instead of streaming the whole
+// input block from L2 once per output column. The terms are plain
+// multiply-adds rather than math.FMA: built for the baseline amd64 level,
+// each math.FMA carries a CPU-feature test and a call fallback that make the
+// compiler spill the running sums to the stack around every term.
 func readoutExact(codes, xq, ks, od []float64, rows, n, lo, hi int) {
 	const tile = 128 // rows per slab: 128 rows × 8 cols × 8 B = 8 KB of xq per c-block
 	acc := make([]float64, (hi-lo)*n)
@@ -176,32 +189,88 @@ func readoutExact(codes, xq, ks, od []float64, rows, n, lo, hi int) {
 				for _, w := range col {
 					r := xq[rb : rb+8 : rb+8]
 					rb += n
-					a0 = math.FMA(r[0], w, a0)
-					a1 = math.FMA(r[1], w, a1)
-					a2 = math.FMA(r[2], w, a2)
-					a3 = math.FMA(r[3], w, a3)
-					a4 = math.FMA(r[4], w, a4)
-					a5 = math.FMA(r[5], w, a5)
-					a6 = math.FMA(r[6], w, a6)
-					a7 = math.FMA(r[7], w, a7)
+					a0 += r[0] * w
+					a1 += r[1] * w
+					a2 += r[2] * w
+					a3 += r[3] * w
+					a4 += r[4] * w
+					a5 += r[5] * w
+					a6 += r[6] * w
+					a7 += r[7] * w
 				}
 				a[0], a[1], a[2], a[3] = a0, a1, a2, a3
 				a[4], a[5], a[6], a[7] = a4, a5, a6, a7
 			}
+			// Leftover columns (all of them when n < 8, as for a single
+			// request) run four independent partial sums over the rows, so
+			// the add latency chain is a quarter as long; the sums are exact,
+			// so splitting them changes no bit.
 			for ; c < n; c++ {
-				a := acc[base+c]
+				var a0, a1, a2, a3 float64
 				rb := i0*n + c
-				for _, w := range col {
-					a = math.FMA(xq[rb], w, a)
+				i := 0
+				for ; i+4 <= len(col); i += 4 {
+					a0 += xq[rb] * col[i]
+					a1 += xq[rb+n] * col[i+1]
+					a2 += xq[rb+2*n] * col[i+2]
+					a3 += xq[rb+3*n] * col[i+3]
+					rb += 4 * n
+				}
+				for ; i < len(col); i++ {
+					a0 += xq[rb] * col[i]
 					rb += n
 				}
-				acc[base+c] = a
+				acc[base+c] += (a0 + a1) + (a2 + a3)
 			}
 		}
 	}
 	for j := lo; j < hi; j++ {
 		for c := 0; c < n; c++ {
 			od[j*n+c] = acc[(j-lo)*n+c] * ks[c]
+		}
+	}
+}
+
+// readoutVector is readoutExact on the AVX2 multiply-add kernels, under
+// the same exactness argument: the fused multiply-adds, the four-lane
+// vectors and the folding of independent accumulators reorder integer sums
+// that never round. xq rows are stride (n rounded up to whole vectors)
+// apart. A single column is a dot product over the rows; more columns run
+// 16 or 4 at a time through 128-row tiles, as in readoutExact.
+func readoutVector(codes, xq, ks, od []float64, rows, n, stride, lo, hi int) {
+	if rows == 0 {
+		return // no rows: every sum is zero, and od already is
+	}
+	if n == 1 {
+		x := xq[:rows]
+		for j := lo; j < hi; j++ {
+			w := codes[j*rows : (j+1)*rows]
+			od[j] = dotRows(&w[0], &x[0], rows) * ks[0]
+		}
+		return
+	}
+	const tile = 128
+	acc := make([]float64, (hi-lo)*stride)
+	for i0 := 0; i0 < rows; i0 += tile {
+		i1 := min(i0+tile, rows)
+		for j := lo; j < hi; j++ {
+			w := codes[j*rows+i0 : j*rows+i1]
+			a := acc[(j-lo)*stride : (j-lo+1)*stride]
+			c := 0
+			for ; c+16 <= stride; c += 16 {
+				x := xq[i0*stride+c : (i1-1)*stride+c+16]
+				fmaCols16(&w[0], &x[0], len(w), stride, &a[c : c+16][0])
+			}
+			for ; c < stride; c += 4 {
+				x := xq[i0*stride+c : (i1-1)*stride+c+4]
+				fmaCols4(&w[0], &x[0], len(w), stride, &a[c : c+4][0])
+			}
+		}
+	}
+	for j := lo; j < hi; j++ {
+		a := acc[(j-lo)*stride : (j-lo)*stride+n]
+		for c, v := range a {
+			od[j*n+c] = v * ks[c]
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -21,6 +22,10 @@ func TestMatVecColsBitIdentical(t *testing.T) {
 		{23, 11, 5},
 		{64, 17, 16},
 		{7, 31, 3},
+		{301, 5, 1}, // several row tiles, rows not a multiple of 4
+		{301, 5, 11},
+		{130, 7, 21}, // vector readout: 16- and 4-column kernels, padded rows
+		{25, 20, 37},
 	}
 	for _, tc := range cases {
 		w := randTensor(tc.rows*tc.cols, int64(tc.rows*1000+tc.n))
@@ -54,6 +59,60 @@ func TestMatVecColsBitIdentical(t *testing.T) {
 				if got.At(j, c) != want.At(j) {
 					t.Fatalf("%dx%d n=%d: out[%d] of column %d = %v, serial %v",
 						tc.rows, tc.cols, tc.n, j, c, got.At(j, c), want.At(j))
+				}
+			}
+		}
+	}
+}
+
+// TestReadoutVectorMatchesScalar: the AVX2 readout must give the scalar
+// readoutExact's bits for every column count the kernels split differently
+// (1, the 4-lane padding, the 16-column blocks), for row counts off the
+// unroll and tile sizes, and for output-column subranges.
+func TestReadoutVectorMatchesScalar(t *testing.T) {
+	if !vectorReadout {
+		t.Skip("no vector readout on this CPU")
+	}
+	rng := rand.New(rand.NewSource(5))
+	code := func() float64 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return float64(rng.Intn(2*65535+1) - 65535)
+	}
+	for _, rows := range []int{1, 3, 17, 128, 129, 301, 784} {
+		for _, n := range []int{1, 2, 3, 4, 5, 15, 16, 17, 21, 36} {
+			const cols = 6
+			stride := n
+			if n > 1 {
+				stride = (n + 3) &^ 3
+			}
+			codes := make([]float64, rows*cols)
+			for i := range codes {
+				codes[i] = code()
+			}
+			xq := make([]float64, rows*n)
+			xqPad := make([]float64, rows*stride)
+			for i := 0; i < rows; i++ {
+				for c := 0; c < n; c++ {
+					v := code()
+					xq[i*n+c] = v
+					xqPad[i*stride+c] = v
+				}
+			}
+			ks := make([]float64, n)
+			for c := range ks {
+				ks[c] = rng.Float64() * 1e-9
+			}
+			for _, r := range [][2]int{{0, cols}, {2, 5}} {
+				want := make([]float64, cols*n)
+				got := make([]float64, cols*n)
+				readoutExact(codes, xq, ks, want, rows, n, r[0], r[1])
+				readoutVector(codes, xqPad, ks, got, rows, n, stride, r[0], r[1])
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("rows=%d n=%d cols %v: out[%d] = %v, scalar %v", rows, n, r, i, got[i], want[i])
+					}
 				}
 			}
 		}

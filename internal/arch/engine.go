@@ -44,30 +44,20 @@ type convEngine struct {
 func (e *convEngine) name() string { return e.id }
 
 func (e *convEngine) forward(x *tensor.Tensor) *tensor.Tensor {
-	cols := tensor.Im2Col(x, e.k, e.k, e.stride, e.pad)
 	oh := tensor.ConvOutDim(e.inH, e.k, e.stride, e.pad)
 	ow := tensor.ConvOutDim(e.inW, e.k, e.stride, e.pad)
 	nwin := oh * ow
-	out := tensor.New(e.outC, oh, ow)
-	rows := cols.Dim(0)
-	// Windows are the paper's intra-layer duplicates (Section 3.2.3): each
-	// chunk owns a private input-vector buffer and activation-unit clone, and
-	// every window writes a disjoint slice of out, so results are
-	// bit-identical to the serial scan.
-	parallel.Default().For(nwin, parallel.Grain(rows*e.outC), func(lo, hi int) {
-		vec := tensor.New(rows)
-		act := e.act.Clone()
-		for w := lo; w < hi; w++ {
-			for i := 0; i < rows; i++ {
-				vec.Data()[i] = cols.At(i, w)
-			}
-			y := e.arrays.MatVec(vec)
-			for c := 0; c < e.outC; c++ {
-				v := act.Process(y.At(c)+e.bias[c], 0)
-				out.Data()[c*nwin+w] = v
-			}
+	// Every window is an intra-layer duplicate (Section 3.2.3) read out in
+	// the same array cycle: the im2col windows are the columns of one
+	// batched readout, each quantized against its own maximum exactly as a
+	// per-window MatVec would be.
+	out := e.arrays.MatVecCols(tensor.Im2Col(x, e.k, e.k, e.stride, e.pad)).Reshape(e.outC, oh, ow)
+	od := out.Data()
+	for c, b := range e.bias {
+		for i := c * nwin; i < (c+1)*nwin; i++ {
+			od[i] = e.act.Process(od[i]+b, 0)
 		}
-	})
+	}
 	return out
 }
 

@@ -314,10 +314,10 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 				ft := a.flight.Now()
 				if tel != nil {
 					tm := tel[i].backward.Start()
-					delta = a.engines[i].backward(delta)
+					delta = a.backwardStage(i, delta)
 					tm.Stop()
 				} else {
-					delta = a.engines[i].backward(delta)
+					delta = a.backwardStage(i, delta)
 				}
 				a.flight.Record("core_stage_backward", a.flightImage, flightTrainTrackBase+uint64(i), ft, int64(i))
 			}
@@ -356,6 +356,22 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 		Energy:   a.model.TrainingEnergy(a.spec, a.plans, n, batch, a.pipelined),
 	}
 	return rep, nil
+}
+
+// backwardStage runs stage i's error backward on the d values its last
+// forward buffered: the activation mask, then the error-array pass that
+// accumulates the stage's gradients. The first stage only accumulates — its
+// Wᵀδ would be the error of the network input, which nothing consumes
+// (Figure 6 gives stage 1 a gradient op only) — and returns nil.
+func (a *Accelerator) backwardStage(i int, delta *tensor.Tensor) *tensor.Tensor {
+	e := a.engines[i]
+	in, out := e.buffered()
+	d := e.maskError(delta, out)
+	if i == 0 {
+		e.accumulate(d, in)
+		return nil
+	}
+	return e.errorBackward(d, in)
 }
 
 // Plans returns the active mapping plans (nil before Topology_set).

@@ -19,15 +19,21 @@ import (
 // maskError is the activation component ANDing a raw error with this
 // stage's f′ (computed from its buffered output d_l), and errorBackward is
 // the error-array pass Wᵀδ that also accumulates this stage's partial
-// derivatives from the buffered input d_{l-1}. The stateful backward —
-// used by the sequential executor — is exactly
-// errorBackward(maskError(δ, lastOut), lastIn).
+// derivatives from the buffered input d_{l-1}. The sequential executor
+// drives both from the buffers forward leaves behind (see
+// Accelerator.backwardStage).
 type layerEngine interface {
+	// forward runs one input through the stage and buffers the stage's
+	// input and output for the backward pass.
 	forward(x *tensor.Tensor) *tensor.Tensor
-	backward(delta *tensor.Tensor) *tensor.Tensor
+	// buffered returns the input and output of the last forward.
+	buffered() (in, out *tensor.Tensor)
 	// maskError applies this stage's activation derivative to a raw error,
 	// using the buffered stage output.
 	maskError(raw, output *tensor.Tensor) *tensor.Tensor
+	// accumulate adds this stage's partial derivatives for (δ, buffered
+	// input) to the gradient buffers — the gradient half of errorBackward.
+	accumulate(delta, input *tensor.Tensor)
 	// errorBackward accumulates this stage's gradients from (δ, buffered
 	// input) and returns the raw upstream error Wᵀδ.
 	errorBackward(delta, input *tensor.Tensor) *tensor.Tensor
@@ -125,7 +131,6 @@ type denseEngine struct {
 
 	lastIn  *tensor.Tensor
 	lastOut *tensor.Tensor
-	inShape []int
 
 	inj          *fault.Injector
 	fwdID, bwdID uint64
@@ -184,7 +189,6 @@ func (e *denseEngine) withFlight(rec *flight.Recorder, track uint64) layerEngine
 }
 
 func (e *denseEngine) forward(x *tensor.Tensor) *tensor.Tensor {
-	e.inShape = x.Shape()
 	flat := x.Reshape(e.in)
 	e.lastIn = flat.Clone()
 	y := e.fwd.MatVec(flat)
@@ -201,10 +205,7 @@ func (e *denseEngine) forward(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-func (e *denseEngine) backward(delta *tensor.Tensor) *tensor.Tensor {
-	d := e.maskError(delta.Reshape(e.out), e.lastOut)
-	return e.errorBackward(d, e.lastIn).Reshape(e.inShape...)
-}
+func (e *denseEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, e.lastOut }
 
 func (e *denseEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
 	if !e.relu {
@@ -213,14 +214,18 @@ func (e *denseEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
 	return arch.ReluBackward(raw.Reshape(e.out), output.Reshape(e.out))
 }
 
-func (e *denseEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
+func (e *denseEngine) accumulate(delta, input *tensor.Tensor) {
 	d := delta.Reshape(e.out)
 	in := input.Reshape(e.in)
 	// ∂W = δ·d_{l-1}ᵀ and ∂b = δ accumulate in the gradient buffers.
 	e.gradW.AddInPlace(tensor.Outer(d, in))
 	e.gradB.AddInPlace(d)
+}
+
+func (e *denseEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
+	e.accumulate(delta, input)
 	// δ_{l-1} = Wᵀδ through the error array pair.
-	return e.bwd.MatVec(d)
+	return e.bwd.MatVec(delta.Reshape(e.out))
 }
 
 func (e *denseEngine) applyUpdate(lr float64, batch int, u *arch.UpdateUnit) {
@@ -321,33 +326,35 @@ func (e *convEngine) withFlight(rec *flight.Recorder, track uint64) layerEngine 
 
 func (e *convEngine) forward(x *tensor.Tensor) *tensor.Tensor {
 	e.lastIn = x.Clone()
-	cols := tensor.Im2Col(x, e.k, e.k, e.stride, e.pad)
-	oh := tensor.ConvOutDim(e.inH, e.k, e.stride, e.pad)
-	ow := tensor.ConvOutDim(e.inW, e.k, e.stride, e.pad)
-	nwin := oh * ow
-	out := tensor.New(e.outC, oh, ow)
-	vec := tensor.New(cols.Dim(0))
-	for wdx := 0; wdx < nwin; wdx++ {
-		for i := 0; i < cols.Dim(0); i++ {
-			vec.Data()[i] = cols.At(i, wdx)
-		}
-		y := e.fwd.MatVec(vec)
-		for c := 0; c < e.outC; c++ {
-			v := y.At(c) + e.bias.At(c)
-			if e.relu && v < 0 {
-				v = 0
-			}
-			out.Data()[c*nwin+wdx] = v
-		}
-	}
+	out := e.plane(x)
 	e.lastOut = out.Clone()
 	return out
 }
 
-func (e *convEngine) backward(delta *tensor.Tensor) *tensor.Tensor {
-	d := e.maskError(delta, e.lastOut)
-	return e.errorBackward(d, e.lastIn)
+// plane runs one input through the stage in a single array cycle, the
+// intra-layer parallelism of Section 3.2.3: Im2Col lays every window out as
+// a column, and MatVecCols quantizes each column against its own absolute
+// maximum — exactly as a per-window MatVec would — so one readout covers the
+// whole output plane.
+func (e *convEngine) plane(x *tensor.Tensor) *tensor.Tensor {
+	oh, ow := e.outShape()
+	nwin := oh * ow
+	y := e.fwd.MatVecCols(tensor.Im2Col(x, e.k, e.k, e.stride, e.pad)) // (outC × nwin)
+	out := y.Reshape(e.outC, oh, ow)
+	od := out.Data()
+	for c, b := range e.bias.Data() {
+		for i := c * nwin; i < (c+1)*nwin; i++ {
+			v := od[i] + b
+			if e.relu && v < 0 {
+				v = 0
+			}
+			od[i] = v
+		}
+	}
+	return out
 }
+
+func (e *convEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, e.lastOut }
 
 func (e *convEngine) outShape() (int, int) {
 	return tensor.ConvOutDim(e.inH, e.k, e.stride, e.pad), tensor.ConvOutDim(e.inW, e.k, e.stride, e.pad)
@@ -362,7 +369,7 @@ func (e *convEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
 	return arch.ReluBackward(r, output.Reshape(e.outC, oh, ow))
 }
 
-func (e *convEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
+func (e *convEngine) accumulate(delta, input *tensor.Tensor) {
 	oh, ow := e.outShape()
 	d := delta.Reshape(e.outC, oh, ow)
 	in := input.Reshape(e.inC, e.inH, e.inW)
@@ -376,25 +383,18 @@ func (e *convEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
 		e.gradB.Data()[c] += s
 	}
 	e.gradW.AddInPlace(arch.ConvDerivative(in, d, e.k, e.pad))
+}
 
+func (e *convEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
+	e.accumulate(delta, input)
 	// δ_{l-1} = conv2(δ, rot180(K), 'full') through the error arrays: the
-	// padded error's im2col columns drive the reordered-kernel array pair.
-	padded := tensor.Pad2D(d, e.k-1)
-	cols := tensor.Im2Col(padded, e.k, e.k, 1, 0)
+	// padded error's Im2Col plane drives the reordered-kernel array pair in
+	// one readout, whose (inC × windows) result is the full-size error.
+	oh, ow := e.outShape()
+	padded := tensor.Pad2D(delta.Reshape(e.outC, oh, ow), e.k-1)
 	fh := padded.Dim(1) - e.k + 1
 	fw := padded.Dim(2) - e.k + 1
-	nwin := fh * fw
-	full := tensor.New(e.inC, fh, fw)
-	vec := tensor.New(cols.Dim(0))
-	for wdx := 0; wdx < nwin; wdx++ {
-		for i := 0; i < cols.Dim(0); i++ {
-			vec.Data()[i] = cols.At(i, wdx)
-		}
-		y := e.bwd.MatVec(vec)
-		for c := 0; c < e.inC; c++ {
-			full.Data()[c*nwin+wdx] = y.At(c)
-		}
-	}
+	full := e.bwd.MatVecCols(tensor.Im2Col(padded, e.k, e.k, 1, 0)).Reshape(e.inC, fh, fw)
 	if e.pad > 0 {
 		full = tensor.Crop2D(full, e.pad)
 	}
@@ -428,27 +428,28 @@ func (e *poolEngine) forward(x *tensor.Tensor) *tensor.Tensor {
 func (e *poolEngine) pool(x *tensor.Tensor) *tensor.Tensor {
 	oh, ow := e.inH/e.k, e.inW/e.k
 	out := tensor.New(e.inC, oh, ow)
+	xd, od := x.Data(), out.Data()
 	for c := 0; c < e.inC; c++ {
+		plane := xd[c*e.inH*e.inW : (c+1)*e.inH*e.inW]
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				best := x.At(c, oy*e.k, ox*e.k)
+				corner := oy*e.k*e.inW + ox*e.k
+				best := plane[corner]
 				for ky := 0; ky < e.k; ky++ {
-					for kx := 0; kx < e.k; kx++ {
-						if v := x.At(c, oy*e.k+ky, ox*e.k+kx); v > best {
+					for _, v := range plane[corner+ky*e.inW : corner+ky*e.inW+e.k] {
+						if v > best {
 							best = v
 						}
 					}
 				}
-				out.Set(best, c, oy, ox)
+				od[(c*oh+oy)*ow+ox] = best
 			}
 		}
 	}
 	return out
 }
 
-func (e *poolEngine) backward(delta *tensor.Tensor) *tensor.Tensor {
-	return e.errorBackward(delta, e.lastIn)
-}
+func (e *poolEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, nil }
 
 func (e *poolEngine) maskError(raw, _ *tensor.Tensor) *tensor.Tensor {
 	return raw.Reshape(e.inC, e.inH/e.k, e.inW/e.k)
@@ -459,6 +460,8 @@ func (e *poolEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
 		delta.Reshape(e.inC, e.inH/e.k, e.inW/e.k),
 		input.Reshape(e.inC, e.inH, e.inW), e.k)
 }
+
+func (e *poolEngine) accumulate(*tensor.Tensor, *tensor.Tensor) {}
 
 func (e *poolEngine) applyUpdate(float64, int, *arch.UpdateUnit) {}
 

@@ -75,14 +75,10 @@ func (r *Replica) Sub(lo, hi int) (*Replica, error) {
 	return &Replica{engines: engines, spec: r.spec}, nil
 }
 
-// Forward runs a batch through the replica and never errors; it exists so a
-// bare Replica satisfies the serving backend contract alongside the sharded
-// chain. A single-element batch takes the serial Infer path — bit-identical
-// to InferBatch by the batched kernel's contract, and cheaper.
+// Forward runs a batch through the replica's batched readout path and never
+// errors; it exists so a bare Replica satisfies the serving backend contract
+// alongside the sharded chain.
 func (r *Replica) Forward(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(xs) == 1 {
-		return []*tensor.Tensor{r.Infer(xs[0])}, nil
-	}
 	return r.InferBatch(xs), nil
 }
 
@@ -141,30 +137,9 @@ func (e *denseEngine) forwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 }
 
 func (e *convEngine) forwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
-	oh, ow := e.outShape()
-	nwin := oh * ow
 	outs := make([]*tensor.Tensor, len(xs))
 	for idx, x := range xs {
-		// Im2Col already lays the windows out as columns with the shape
-		// MatVecCols wants, and each window quantizes against its own
-		// absolute maximum — exactly what the per-window MatVec loop in
-		// forward does — so one batched readout covers the whole plane.
-		cols := tensor.Im2Col(x, e.k, e.k, e.stride, e.pad)
-		y := e.fwd.MatVecCols(cols) // (outC × nwin)
-		yd := y.Data()
-		out := tensor.New(e.outC, oh, ow)
-		od := out.Data()
-		for c := 0; c < e.outC; c++ {
-			b := e.bias.At(c)
-			for wdx := 0; wdx < nwin; wdx++ {
-				v := yd[c*nwin+wdx] + b
-				if e.relu && v < 0 {
-					v = 0
-				}
-				od[c*nwin+wdx] = v
-			}
-		}
-		outs[idx] = out
+		outs[idx] = e.plane(x)
 	}
 	return outs
 }

@@ -215,7 +215,7 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 				writes[oi] = append(writes[oi], pendingWrite{deltaRing[l], op.image, g})
 			case opGradFirst:
 				delta := deltaRing[1].consume(op.image)
-				a.engines[0].errorBackward(delta, samples[op.image].Input)
+				a.engines[0].accumulate(delta, samples[op.image].Input)
 			case opUpdate:
 				for i, e := range a.engines {
 					ut0 := a.flight.Now()
